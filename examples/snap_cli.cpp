@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -636,8 +637,32 @@ int main(int argc, char** argv) {
                     ? "mnist-mlp"
                     : "credit-svm")
             << ", " << cfg.nodes << " nodes, seed " << cfg.seed << "\n";
-  const experiments::Scenario scenario(cfg);
-  const auto result = scenario.run(*scheme);
+  // A failed contract (say, a spectral routine that cannot meet its
+  // tolerance while W is selected) ends the run with the message and
+  // exit status 1 instead of terminate(). Worker shards replay the same
+  // deterministic run; any still running are stopped so the supervisor
+  // settles before main returns.
+  std::optional<experiments::Scenario> scenario;
+  core::TrainResult result;
+  try {
+    scenario.emplace(cfg);
+    result = scenario->run(*scheme);
+  } catch (const std::exception& error) {
+    std::cerr << "snap_cli: " << error.what() << "\n";
+    chaos_stop.store(true);
+    if (chaos_thread.joinable()) chaos_thread.join();
+    {
+      const std::lock_guard<std::mutex> lock(slots_mutex);
+      for (WorkerSlot& slot : slots) {
+        if (slot.done || slot.failed) continue;
+        ::kill(slot.pid, SIGKILL);
+        ::waitpid(slot.pid, nullptr, 0);
+        slot.failed = true;
+      }
+    }
+    if (supervisor_thread.joinable()) supervisor_thread.join();
+    return 1;
+  }
 
   experiments::Table table({"metric", "value"});
   table.add_row({"scheme", std::string(experiments::scheme_name(*scheme))});
@@ -745,7 +770,7 @@ int main(int argc, char** argv) {
   // replica but must not race the launcher for the output files.
   if (!worker && args.contains("save-model")) {
     const std::string path = get("save-model", "");
-    const ml::Checkpoint checkpoint{scenario.model().name(),
+    const ml::Checkpoint checkpoint{scenario->model().name(),
                                     result.final_params};
     if (!ml::save_checkpoint(path, checkpoint)) {
       std::cerr << "cannot write checkpoint to " << path << "\n";

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 
 namespace snap::core {
 
@@ -525,6 +526,36 @@ bool SnapNode::load(common::ByteReader& reader) {
          view_previous_slab_.size() == deg * dim_ &&
          w_neighbors_prev_.size() == neighbors_prev_.size() &&
          x_current_.size() == dim_;
+}
+
+linalg::Vector mean_params(const std::vector<SnapNode>& nodes,
+                           const std::vector<bool>& alive,
+                           common::ThreadPool& pool) {
+  const bool use_all =
+      std::none_of(alive.begin(), alive.end(), [](bool a) { return a; });
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    count += (use_all || alive[i]) ? 1 : 0;
+  }
+  const std::size_t dim = nodes.front().params().size();
+  const double inverse_count = 1.0 / static_cast<double>(count);
+  linalg::Vector mean(dim);
+  // Chunked over the parameter dimension and accumulated node-major
+  // inside each chunk, so each node's parameters are read contiguously
+  // once. Each entry still folds node contributions in node order.
+  const std::size_t chunks = std::min(dim, pool.thread_count());
+  pool.parallel_for(0, chunks, [&](std::size_t c) {
+    const std::size_t begin = c * dim / chunks;
+    const std::size_t width = (c + 1) * dim / chunks - begin;
+    double* acc = mean.data() + begin;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (!use_all && !alive[i]) continue;
+      const double* x = nodes[i].params().data() + begin;
+      for (std::size_t d = 0; d < width; ++d) acc[d] += x[d];
+    }
+    for (std::size_t d = 0; d < width; ++d) acc[d] *= inverse_count;
+  });
+  return mean;
 }
 
 }  // namespace snap::core

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/thread_pool.hpp"
 #include "data/dataset.hpp"
 #include "linalg/vector.hpp"
 #include "ml/model.hpp"
@@ -261,5 +262,14 @@ class SnapNode {
   std::size_t iteration_ = 0;
   double mean_abs_initial_ = 0.0;
 };
+
+/// Mean of the nodes' parameter vectors over the alive mask — a crashed
+/// node's frozen iterate would drag the mean toward wherever it died; an
+/// all-dead mask degenerates to all nodes so a last report stays finite.
+/// Each entry folds node contributions in node order, so the result is
+/// bitwise identical to the serial loop for any pool size.
+linalg::Vector mean_params(const std::vector<SnapNode>& nodes,
+                           const std::vector<bool>& alive,
+                           common::ThreadPool& pool);
 
 }  // namespace snap::core

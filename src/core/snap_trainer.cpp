@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "consensus/weight_reprojection.hpp"
+#include "core/link_backlog.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_injector.hpp"
 #include "net/frame.hpp"
@@ -41,31 +41,6 @@ struct SnapWire {
 // (mask all-true) every fold is bitwise the pre-fault original.
 bool all_dead(const std::vector<bool>& alive) {
   return std::none_of(alive.begin(), alive.end(), [](bool a) { return a; });
-}
-
-// Parallelized over the parameter dimension: each entry's sum still
-// folds node contributions in node order, so the result is bitwise
-// identical to the serial mean for any thread count.
-linalg::Vector mean_of(const std::vector<SnapNode>& nodes,
-                       const std::vector<bool>& alive,
-                       common::ThreadPool& pool) {
-  const bool use_all = all_dead(alive);
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    count += (use_all || alive[i]) ? 1 : 0;
-  }
-  const std::size_t dim = nodes.front().params().size();
-  const double inverse_count = 1.0 / static_cast<double>(count);
-  linalg::Vector mean(dim);
-  pool.parallel_for(0, dim, [&](std::size_t d) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (!use_all && !alive[i]) continue;
-      acc += nodes[i].params()[d];
-    }
-    mean[d] = acc * inverse_count;
-  });
-  return mean;
 }
 
 double residual_of(const std::vector<SnapNode>& nodes,
@@ -300,9 +275,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   // connections (§II-B), so a congested round delays a frame rather than
   // destroying it: updates that could not be sent are merged
   // (last-write-wins per parameter) into the next frame on that link.
-  std::vector<std::unordered_map<topology::NodeId,
-                                 std::map<std::uint32_t, double>>>
-      backlog(n);
+  LinkBacklog backlog(n, total_params);
 
   // Local round counter per node: equals the fabric's global round
   // under sync execution, free-runs under async. Drives APE warmup.
@@ -600,12 +573,10 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     }
     std::vector<runtime::Envelope<Payload>> envelopes;
     const auto& my_neighbors = nodes[i].neighbors();
+    envelopes.reserve(my_neighbors.size());
     for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
       const topology::NodeId j = my_neighbors[s];
-      auto& queued = backlog[i][j];
-      for (const net::ParamUpdate& u : outgoing.updates) {
-        queued[u.index] = u.value;
-      }
+      LinkBacklog::Run& queued = backlog.merge(i, j, outgoing.updates);
       // A sparsifier-pruned link is silent for the whole epoch: zero
       // mixing weight (its W entry is a structural zero) and an
       // accumulating backlog, so a later epoch that re-admits the link
@@ -624,13 +595,9 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
       if (injector && injector->link_down(link_round, i, j)) continue;
       // A live link always carries a frame — an empty one is the
       // heartbeat that lets the receiver distinguish "nothing above
-      // threshold" from "link down" (kReweight needs to know).
-      std::vector<net::ParamUpdate> frame;
-      frame.reserve(queued.size());
-      for (const auto& [index, value] : queued) {
-        frame.push_back({index, value});
-      }
-      queued.clear();
+      // threshold" from "link down" (kReweight needs to know). The
+      // run moves into the frame whole, already in ascending order.
+      LinkBacklog::Run frame = std::exchange(queued, {});
       const std::size_t wire_bytes =
           net::encoded_frame_bytes(total_params, frame.size());
       envelopes.push_back({j, SnapWire{std::move(frame)}, wire_bytes});
@@ -764,13 +731,8 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         const linalg::Vector& xj = nodes[j].params();
         for (const auto h : g.neighbors(j)) {
           if (!alive[h]) continue;
-          auto& to_h = backlog[j][h];
-          auto& to_j = backlog[h][j];
-          const linalg::Vector& xh = nodes[h].params();
-          for (std::uint32_t p = 0; p < total_params; ++p) {
-            to_h[p] = xj[p];
-            to_j[p] = xh[p];
-          }
+          backlog.prime(j, h, xj);
+          backlog.prime(h, j, nodes[h].params());
         }
       }
       // W repair rides the component labels: under the shared clock a
@@ -818,8 +780,8 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         }
         nodes[v].apply_update(u, dense_u);
         nodes[u].apply_update(v, dense_v);
-        backlog[u][v].clear();
-        backlog[v][u].clear();
+        backlog.clear(u, v);
+        backlog.clear(v, u);
         sink.send(u, v, SnapWire{std::move(dense_u), true},
                   net::state_sync_frame_bytes(total_params),
                   /*state_sync=*/true);
@@ -865,7 +827,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   // 4. Bookkeeping: the mean model's aggregate objective, consensus
   // residual, and (gated) test accuracy.
   hooks.evaluate = [&](std::size_t, bool measure_accuracy) {
-    const linalg::Vector mean = mean_of(nodes, alive, fabric->pool());
+    const linalg::Vector mean = mean_params(nodes, alive, fabric->pool());
     runtime::RoundEval eval;
     eval.consensus_residual = residual_of(nodes, alive, mean, fabric->pool());
     eval.train_loss = mean_local_loss(nodes, alive, mean, fabric->pool());
@@ -924,22 +886,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     for (topology::NodeId i = 0; i < n; ++i) {
       writer.write_u8(alive[i] ? 1 : 0);
     }
-    for (topology::NodeId i = 0; i < n; ++i) {
-      std::vector<topology::NodeId> keys;
-      keys.reserve(backlog[i].size());
-      for (const auto& [j, merged] : backlog[i]) keys.push_back(j);
-      std::sort(keys.begin(), keys.end());
-      writer.write_u64(keys.size());
-      for (const topology::NodeId j : keys) {
-        const auto& merged = backlog[i].at(j);
-        writer.write_u64(j);
-        writer.write_u64(merged.size());
-        for (const auto& [index, value] : merged) {
-          writer.write_u32(index);
-          writer.write_f64(value);
-        }
-      }
-    }
+    backlog.save(writer);
     for (const std::size_t r : rounds) {
       writer.write_u64(static_cast<std::uint64_t>(r));
     }
@@ -983,21 +930,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     for (topology::NodeId i = 0; i < n; ++i) {
       alive[i] = reader.read_u8() != 0;
     }
-    for (topology::NodeId i = 0; i < n; ++i) {
-      backlog[i].clear();
-      const std::uint64_t link_count = reader.read_u64();
-      if (!reader.ok() || link_count > n) return false;
-      for (std::uint64_t k = 0; k < link_count; ++k) {
-        const auto j = static_cast<topology::NodeId>(reader.read_u64());
-        const std::uint64_t entries = reader.read_u64();
-        if (!reader.ok() || entries > total_params) return false;
-        auto& merged = backlog[i][j];
-        for (std::uint64_t e = 0; e < entries; ++e) {
-          const std::uint32_t index = reader.read_u32();
-          merged[index] = reader.read_f64();
-        }
-      }
-    }
+    if (!backlog.load(reader)) return false;
     for (std::size_t& r : rounds) {
       r = static_cast<std::size_t>(reader.read_u64());
     }
@@ -1063,7 +996,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   // charged-vs-encoded parity) before the artifacts are torn down.
   if (socket != nullptr) socket->write_stats();
 
-  const linalg::Vector mean = mean_of(nodes, alive, fabric->pool());
+  const linalg::Vector mean = mean_params(nodes, alive, fabric->pool());
   result.final_params = mean;
   result.final_train_loss =
       mean_local_loss(nodes, alive, mean, fabric->pool());

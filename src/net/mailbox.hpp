@@ -42,10 +42,12 @@ class RoundMailbox {
   }
 
   /// Ends the send phase: everything posted becomes readable, and the
-  /// outgoing buffers reset for the next round.
+  /// outgoing buffers reset for the next round. Swapping (rather than
+  /// move-assigning) keeps both buffers' capacity, so a steady round
+  /// posts without growing any vector.
   void flip_round() {
     for (std::size_t node = 0; node < incoming_.size(); ++node) {
-      incoming_[node] = std::move(outgoing_[node]);
+      incoming_[node].swap(outgoing_[node]);
       outgoing_[node].clear();
     }
   }
