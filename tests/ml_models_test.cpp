@@ -267,6 +267,12 @@ struct GradientCase {
   std::size_t seed;
 };
 
+// Without a printer gtest names each case by its raw bytes, which hold
+// the `name` pointer and so change from run to run.
+void PrintTo(const GradientCase& c, std::ostream* os) {
+  *os << "{" << c.name << ", seed " << c.seed << "}";
+}
+
 class GradientPropertyTest : public ::testing::TestWithParam<GradientCase> {
 };
 

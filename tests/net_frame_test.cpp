@@ -196,6 +196,12 @@ struct CodecCase {
   std::size_t sent;
 };
 
+// Without a printer gtest names each case by its raw bytes, padding
+// included, and the padding is whatever the stack held.
+void PrintTo(const CodecCase& c, std::ostream* os) {
+  *os << "{total " << c.total << ", sent " << c.sent << "}";
+}
+
 class FrameCodecPropertyTest : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(FrameCodecPropertyTest, EncodeDecodeIsIdentity) {
