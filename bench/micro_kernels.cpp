@@ -1,20 +1,29 @@
 // google-benchmark micro-kernels for SNAP's hot paths, plus the §IV-C
-// frame-format analysis (format A vs B crossover at N = 2M + 1), and the
+// frame-format analysis (format A vs B crossover at N = 2M + 1), the
 // per-round phases of the SNAP round engine (collect + backlog, apply,
-// mailbox, mean).
+// mailbox, mean), and the compute kernels of the paper-MLP workload
+// (MLP gradient/loss/predict, the sparsifier's prune) with the spectral
+// kernels under it (sparse matvec, deflated Lanczos).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "baselines/terngrad.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "consensus/sparse_weight_matrix.hpp"
+#include "consensus/topology_sparsifier.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "consensus/weight_optimizer.hpp"
 #include "core/link_backlog.hpp"
 #include "core/snap_node.hpp"
 #include "data/synthetic_credit.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/lanczos.hpp"
 #include "ml/linear_svm.hpp"
 #include "ml/mlp.hpp"
 #include "net/frame.hpp"
@@ -132,6 +141,130 @@ void BM_MlpGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpGradient)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// A range(0)-sample synthetic-MNIST shard as mlp-paper-48 deals them
+/// (≈70% of pixels exactly zero), with the 784-30-10 model's initial
+/// parameters.
+struct MnistShardFixture {
+  explicit MnistShardFixture(std::size_t samples)
+      : mlp(ml::MlpConfig{}), mnist(make_shard(samples)) {
+    common::Rng init(8);
+    params = mlp.initial_params(init);
+  }
+  static data::SyntheticMnist make_shard(std::size_t samples) {
+    data::SyntheticMnistConfig cfg;
+    cfg.train_samples = samples;
+    cfg.test_samples = samples;
+    cfg.label_noise = 0.08;
+    cfg.seed = 0x3A15ULL;
+    return data::make_synthetic_mnist(cfg);
+  }
+  ml::Mlp mlp;
+  data::SyntheticMnist mnist;
+  linalg::Vector params;
+};
+
+void BM_MlpGradientMnist(benchmark::State& state) {
+  const MnistShardFixture f(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.mlp.loss_gradient(f.params, f.mnist.train));
+  }
+}
+BENCHMARK(BM_MlpGradientMnist)->Arg(100)->Unit(benchmark::kMillisecond);
+
+/// The per-round evaluation: the loss of one 100-sample shard.
+void BM_MlpLoss(benchmark::State& state) {
+  const MnistShardFixture f(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.mlp.loss(f.params, f.mnist.train));
+  }
+}
+BENCHMARK(BM_MlpLoss)->Arg(100)->Unit(benchmark::kMicrosecond);
+
+/// Test accuracy: one predict per test sample.
+void BM_MlpPredict(benchmark::State& state) {
+  const MnistShardFixture f(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.mlp.accuracy(f.params, f.mnist.test));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MlpPredict)->Arg(1'000)->Unit(benchmark::kMillisecond);
+
+/// mlp-paper-48's initial prune: its 48-node degree-3 deployment, SLEM
+/// bound 0.97, detour prices, Metropolis re-weighting; range(1) is the
+/// pool size the candidate scan runs on (0 = no pool, the serial scan).
+void BM_SparsifyTopology(benchmark::State& state) {
+  common::Rng rng(0x5EED0048ULL);
+  const auto graph = topology::make_random_connected(
+      static_cast<std::size_t>(state.range(0)), 3.0, rng);
+  consensus::SparsifierConfig config;
+  config.enabled = true;
+  config.slem_bound = 0.97;
+  const auto threads = static_cast<std::size_t>(state.range(1));
+  std::optional<common::ThreadPool> pool;
+  if (threads > 0) pool.emplace(threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(consensus::sparsify_topology(
+        graph, {}, config, pool ? &*pool : nullptr));
+  }
+}
+BENCHMARK(BM_SparsifyTopology)
+    ->Args({48, 0})
+    ->Args({48, 1})
+    ->Args({48, 4})
+    ->Unit(benchmark::kMillisecond);
+
+/// y += W x on the Metropolis matrix of an n-node degree-4 graph.
+void BM_SparseMatvec(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  common::Rng rng(16);
+  const auto w = consensus::SparseWeightMatrix::metropolis_on_survivors(
+      topology::make_random_connected(n, 4.0, rng));
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.normal();
+  std::vector<double> y(n, 0.0);
+  for (auto _ : state) {
+    w.accumulate_matvec(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SparseMatvec)->Arg(10'000);
+
+/// Deflated Lanczos on the Metropolis matrix of the n = 180 star plus
+/// leaf chords (the sparsifier property test's above-cutoff graph, on
+/// which the default options converge).
+void BM_LanczosMixingExtremes(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  topology::Graph g = topology::make_star(n);
+  for (const auto& [u, v] :
+       {std::pair<topology::NodeId, topology::NodeId>{1, 2},
+        {3, 4},
+        {5, 6},
+        {7, 8},
+        {9, 10},
+        {11, 12},
+        {12, 13}}) {
+    g.add_edge(u, v);
+  }
+  const auto w = consensus::SparseWeightMatrix::metropolis_on_survivors(g);
+  const linalg::MatVec apply = [&w](std::span<const double> x,
+                                    std::span<double> y) {
+    w.accumulate_matvec(x, y);
+  };
+  for (auto _ : state) {
+    const linalg::DeflatedExtremes extremes =
+        linalg::lanczos_mixing_extremes(n, apply);
+    if (!extremes.converged) {
+      state.SkipWithError("Lanczos did not converge");
+      break;
+    }
+    benchmark::DoNotOptimize(extremes.lambda_min);
+  }
+}
+BENCHMARK(BM_LanczosMixingExtremes)->Arg(180)->Unit(benchmark::kMillisecond);
 
 void BM_Ternarize(benchmark::State& state) {
   common::Rng rng(9);

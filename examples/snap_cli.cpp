@@ -91,6 +91,10 @@ options (defaults in brackets):
   --warm-start=B      on|off: joiners warm-start from a neighbor's
                       STATE_SYNC model handoff (off = cold x0) [on]
   --seed=S            experiment seed [2020]
+  --threads=N         worker threads for the per-node round phases and
+                      the sparsifier's candidate scan (0 = one per
+                      hardware thread); results are bitwise identical
+                      for every value [1]
   --fabric=NAME       sync (shared-clock rounds) | async (event-driven
                       runtime; frames arrive when they arrive) | gossip
                       (shared clock, but each round only a sparse
@@ -267,7 +271,7 @@ int main(int argc, char** argv) {
         "gossip-mode", "gossip-fanout", "gossip-restart", "sparsify",
         "link-cost", "transport",
         "shards", "shard-worker", "rendezvous", "checkpoint-every",
-        "chaos-kill", "resume", "resume-incarnation"};
+        "chaos-kill", "resume", "resume-incarnation", "threads"};
     if (!known.contains(key)) {
       std::cerr << "unknown option --" << key << " (try --help)\n";
       return 2;
@@ -328,6 +332,17 @@ int main(int argc, char** argv) {
   }
   cfg.warm_start_joins = warm == "on";
   cfg.seed = std::stoull(get("seed", "2020"));
+  // A plain count up to a ceiling, checked before a pool is built.
+  constexpr std::size_t kMaxThreads = 1024;
+  const std::string threads = get("threads", "1");
+  if (threads.empty() || threads.size() > 4 ||
+      threads.find_first_not_of("0123456789") != std::string::npos ||
+      std::stoul(threads) > kMaxThreads) {
+    std::cerr << "--threads takes 0.." << kMaxThreads
+              << " (0 = one per hardware thread)\n";
+    return 2;
+  }
+  cfg.threads = std::stoul(threads);
   if (args.contains("topology")) {
     std::string error;
     auto loaded = topology::load_edge_list(get("topology", ""), &error);

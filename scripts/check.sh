@@ -122,6 +122,7 @@ SAN_TESTS=(
   transport_deadlock_test
   consensus_sparsifier_property_test
   core_link_backlog_test
+  ml_mlp_kernel_test
 )
 
 SANITIZERS=(address thread undefined)

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "consensus/mixing_spectrum.hpp"
 
 namespace snap::consensus {
@@ -229,7 +230,8 @@ SparseWeightMatrix reweight_survivors(const Workspace& ws,
 SparsifierResult sparsify_impl(const topology::Graph& graph,
                                const std::vector<bool>& alive,
                                const std::vector<std::size_t>& labels_in,
-                               const SparsifierConfig& config) {
+                               const SparsifierConfig& config,
+                               common::ThreadPool* pool) {
   const Workspace ws = build_workspace(graph, alive, labels_in);
   const auto& edges = graph.edges();
 
@@ -269,19 +271,49 @@ SparsifierResult sparsify_impl(const topology::Graph& graph,
                                       result.slem_before + config.slem_slack)
                            : config.slem_bound;
 
+  // Per-step candidate scan: each live candidate's connectivity guard
+  // and post-removal SLEM are independent reads of the current kept
+  // set, so they run on the pool (when one is given), each writing only
+  // its own slot. The fold below walks the slots serially in ascending
+  // edge order, so the choice — and with it the whole schedule — is the
+  // same for every thread count.
+  std::vector<std::size_t> live;
+  std::vector<std::uint8_t> live_connected;
+  std::vector<double> live_slem;
+  const auto scan = [&](std::size_t k) {
+    const std::size_t e = live[k];
+    const std::size_t c = ws.labels[edges[e].first];
+    live_connected[k] = stays_connected(ws, result.edge_kept, c, e) ? 1 : 0;
+    if (live_connected[k] != 0) {
+      live_slem[k] = component_slem(ws, result.edge_kept, c, e);
+    }
+  };
+
   while (true) {
     if (config.cost_budget > 0.0 &&
         kept_cost <= config.cost_budget * result.cost_before) {
       break;  // saved enough; keep the remaining mixing quality
     }
+    live.clear();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (candidate[e] != 0 && result.edge_kept[e] != 0) live.push_back(e);
+    }
+    live_connected.assign(live.size(), 0);
+    live_slem.assign(live.size(), 0.0);
+    if (pool != nullptr) {
+      pool->parallel_for(0, live.size(), scan);
+    } else {
+      for (std::size_t k = 0; k < live.size(); ++k) scan(k);
+    }
+
     std::size_t best = kExcluded;
     double best_score = 0.0;
     double best_slem = 0.0;
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (candidate[e] == 0 || result.edge_kept[e] == 0) continue;
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      if (live_connected[k] == 0) continue;
+      const std::size_t e = live[k];
       const std::size_t c = ws.labels[edges[e].first];
-      if (!stays_connected(ws, result.edge_kept, c, e)) continue;
-      const double slem = component_slem(ws, result.edge_kept, c, e);
+      const double slem = live_slem[k];
       if (slem > bound) continue;
       const double degradation =
           std::max(slem - comp_slem[c], kMinDegradation);
@@ -325,15 +357,17 @@ std::vector<double> link_prices(const topology::Graph& graph,
 
 SparsifierResult sparsify_topology(const topology::Graph& graph,
                                    const std::vector<bool>& alive,
-                                   const SparsifierConfig& config) {
-  return sparsify_impl(graph, alive, {}, config);
+                                   const SparsifierConfig& config,
+                                   common::ThreadPool* pool) {
+  return sparsify_impl(graph, alive, {}, config, pool);
 }
 
 SparsifierResult sparsify_topology(const topology::Graph& graph,
                                    const std::vector<bool>& alive,
                                    const std::vector<std::size_t>& labels,
-                                   const SparsifierConfig& config) {
-  return sparsify_impl(graph, alive, labels, config);
+                                   const SparsifierConfig& config,
+                                   common::ThreadPool* pool) {
+  return sparsify_impl(graph, alive, labels, config, pool);
 }
 
 }  // namespace snap::consensus

@@ -20,7 +20,9 @@
 // result is a pure function of (graph, alive, labels, config). The
 // trainer re-runs it at membership/partition epochs, and the schedule
 // must replay bitwise across reruns, thread counts, socket shards, and
-// checkpoint resume.
+// checkpoint resume. An optional thread pool spreads each greedy step's
+// candidate scan; the choice is folded serially in edge order, so the
+// result is the same bits with or without one, at any pool size.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +33,10 @@
 #include "consensus/weight_optimizer.hpp"
 #include "consensus/weight_reprojection.hpp"
 #include "topology/graph.hpp"
+
+namespace snap::common {
+class ThreadPool;
+}  // namespace snap::common
 
 namespace snap::consensus {
 
@@ -111,13 +117,17 @@ std::vector<double> link_prices(const topology::Graph& graph,
 /// labels overload restricts pruning within components (an edge whose
 /// endpoints differ in label is inert — the partition machinery owns
 /// it); the label-free overload derives components from the alive mask.
-/// Pure function of its arguments; no RNG.
+/// Pure function of its arguments; no RNG. `pool` (null = serial)
+/// evaluates each step's candidates in parallel and changes no bit of
+/// the result; it must not be inside one of its own parallel_for calls.
 SparsifierResult sparsify_topology(const topology::Graph& graph,
                                    const std::vector<bool>& alive,
-                                   const SparsifierConfig& config);
+                                   const SparsifierConfig& config,
+                                   common::ThreadPool* pool = nullptr);
 SparsifierResult sparsify_topology(const topology::Graph& graph,
                                    const std::vector<bool>& alive,
                                    const std::vector<std::size_t>& labels,
-                                   const SparsifierConfig& config);
+                                   const SparsifierConfig& config,
+                                   common::ThreadPool* pool = nullptr);
 
 }  // namespace snap::consensus

@@ -191,115 +191,13 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     }
   }
 
-  // Cost-aware sparsification state. `pruned_keys` is the canonical
-  // pruned-link set (FaultInjector::link_key encoding); `link_pruned`
-  // is its per-node slot-aligned projection, the O(1) gate collect
-  // checks per frame. The schedule consumes no randomness —
-  // sparsify_topology is a pure function of (graph, alive, labels,
-  // config) — so it replays bitwise on every fabric, shard, and resume.
-  std::vector<std::vector<std::uint8_t>> link_pruned(sparsify_on ? n : 0);
-  std::unordered_set<std::uint64_t> pruned_keys;
-  std::uint64_t links_pruned_stat = 0;
-  std::uint64_t effective_edges_stat = 0;
-  double slem_after_prune_stat = 0.0;
-  const auto apply_sparsifier = [&](const topology::Graph& g,
-                                    const std::vector<std::size_t>& labels) {
-    consensus::SparsifierResult pruned =
-        labels.empty()
-            ? consensus::sparsify_topology(g, alive, config_.sparsify)
-            : consensus::sparsify_topology(g, alive, labels,
-                                           config_.sparsify);
-    w_ = std::move(pruned.w);
-    pruned_keys.clear();
-    const auto& edges = g.edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (pruned.edge_kept[e]) continue;
-      pruned_keys.insert(
-          net::FaultInjector::link_key(edges[e].first, edges[e].second));
-    }
-    if (injector) injector->set_pruned_links(pruned_keys);
-    links_pruned_stat = pruned.links_pruned;
-    effective_edges_stat = pruned.effective_edges;
-    slem_after_prune_stat = pruned.slem_after;
-  };
-  // Initial prune, before the nodes consume their rows: the provided W
-  // is replaced with the sparsifier's re-derived one. Pruned entries
-  // are structural zeros, so every neighbor slot stays aligned with the
-  // full topology.
-  if (sparsify_on) apply_sparsifier(*graph_, {});
-
-  // Build nodes with their weight rows — each row is one CSR row view
-  // split around the diagonal, already index-sorted and aligned.
-  std::vector<SnapNode> nodes;
-  nodes.reserve(n);
-  for (topology::NodeId i = 0; i < n; ++i) {
-    AlignedRow row = split_row(w_, i);
-    nodes.emplace_back(i, *model_, std::move(shards_[i]),
-                       std::move(row.neighbors), std::move(row.weights),
-                       row.self, config_.straggler_policy);
-  }
-
-  // Slot-aligned projection of pruned_keys onto each node's current
-  // neighbor list; rebuilt whenever either side changes (sparsifier
-  // epochs, checkpoint restore).
-  const auto rebuild_pruned_masks = [&] {
-    if (!sparsify_on) return;
-    for (topology::NodeId i = 0; i < n; ++i) {
-      const auto& my_neighbors = nodes[i].neighbors();
-      link_pruned[i].assign(my_neighbors.size(), 0);
-      for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
-        if (pruned_keys.contains(
-                net::FaultInjector::link_key(i, my_neighbors[s]))) {
-          link_pruned[i][s] = 1;
-        }
-      }
-    }
-  };
-  rebuild_pruned_masks();
-
-  // Shared initial model (every edge server starts from the same copy of
-  // the uniform model, §II-B).
-  common::Rng init_rng = rng.fork("init");
-  const linalg::Vector x0 = model_->initial_params(init_rng);
-  for (auto& node : nodes) node.set_initial(x0);
-
-  // Per-node APE controllers (fully local, §IV-C). Armed lazily after
-  // the warmup so the 10%-of-mean-|parameter| budget reflects the
-  // model's working scale rather than the near-zero initialization.
-  std::vector<std::optional<ApeController>> ape(n);
-
   const auto total_params =
       static_cast<std::uint32_t>(model_->param_count());
 
-  // Per-directed-link transmit backlog. Peers talk over persistent TCP
-  // connections (§II-B), so a congested round delays a frame rather than
-  // destroying it: updates that could not be sent are merged
-  // (last-write-wins per parameter) into the next frame on that link.
-  LinkBacklog backlog(n, total_params);
-
-  // Local round counter per node: equals the fabric's global round
-  // under sync execution, free-runs under async. Drives APE warmup.
-  std::vector<std::size_t> rounds(n, 0);
-  bool restarted = false;
-  const bool async_mode = config_.fabric == runtime::FabricKind::kAsync;
-  const bool gossip_mode = config_.fabric == runtime::FabricKind::kGossip;
-  // Round-aligned async (the default): EXTRA's corrected recursion
-  // telescopes only if node i's round-k update consumes each neighbor's
-  // round-(k-1) frame exactly once — views that skip or double-consume
-  // a neighbor round feed a persistent error through the accumulator
-  // and the run diverges (empirically: hetero spread 2.0 blows the loss
-  // up by 5-6 orders of magnitude). So each receiver queues arriving
-  // frames per link and applies exactly one per neighbor at the top of
-  // its next update; the ready gate parks a node until every neighbor
-  // queue is non-empty. No global barrier, no incast hub — each
-  // neighborhood paces itself — and the resulting parameter trajectory
-  // is the sync one, reached on an event-driven clock. Free-run mode
-  // bypasses the queues and mixes whatever is freshest.
-  const bool paced = async_mode && !config_.async_free_run;
-  std::vector<std::unordered_map<
-      topology::NodeId, std::deque<std::vector<net::ParamUpdate>>>>
-      pending(paced ? n : 0);
-
+  // The fabric reads only its config, so it is built ahead of the
+  // initial prune: the sparsifier scans its candidates on the fabric's
+  // pool (outside any parallel region — the prune and every epoch
+  // re-prune run on the caller's thread).
   using Payload = SnapWire;
 
   runtime::FabricConfig fabric_config;
@@ -386,6 +284,114 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
       runtime::make_fabric<Payload>(config_.fabric, fabric_config,
                                     config_.async, gossip_config,
                                     std::move(transport));
+
+  // Cost-aware sparsification state. `pruned_keys` is the canonical
+  // pruned-link set (FaultInjector::link_key encoding); `link_pruned`
+  // is its per-node slot-aligned projection, the O(1) gate collect
+  // checks per frame. The schedule consumes no randomness —
+  // sparsify_topology is a pure function of (graph, alive, labels,
+  // config) — so it replays bitwise on every fabric, shard, and resume.
+  std::vector<std::vector<std::uint8_t>> link_pruned(sparsify_on ? n : 0);
+  std::unordered_set<std::uint64_t> pruned_keys;
+  std::uint64_t links_pruned_stat = 0;
+  std::uint64_t effective_edges_stat = 0;
+  double slem_after_prune_stat = 0.0;
+  const auto apply_sparsifier = [&](const topology::Graph& g,
+                                    const std::vector<std::size_t>& labels) {
+    consensus::SparsifierResult pruned =
+        labels.empty()
+            ? consensus::sparsify_topology(g, alive, config_.sparsify,
+                                           &fabric->pool())
+            : consensus::sparsify_topology(g, alive, labels,
+                                           config_.sparsify,
+                                           &fabric->pool());
+    w_ = std::move(pruned.w);
+    pruned_keys.clear();
+    const auto& edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (pruned.edge_kept[e]) continue;
+      pruned_keys.insert(
+          net::FaultInjector::link_key(edges[e].first, edges[e].second));
+    }
+    if (injector) injector->set_pruned_links(pruned_keys);
+    links_pruned_stat = pruned.links_pruned;
+    effective_edges_stat = pruned.effective_edges;
+    slem_after_prune_stat = pruned.slem_after;
+  };
+  // Initial prune, before the nodes consume their rows: the provided W
+  // is replaced with the sparsifier's re-derived one. Pruned entries
+  // are structural zeros, so every neighbor slot stays aligned with the
+  // full topology.
+  if (sparsify_on) apply_sparsifier(*graph_, {});
+
+  // Build nodes with their weight rows — each row is one CSR row view
+  // split around the diagonal, already index-sorted and aligned.
+  std::vector<SnapNode> nodes;
+  nodes.reserve(n);
+  for (topology::NodeId i = 0; i < n; ++i) {
+    AlignedRow row = split_row(w_, i);
+    nodes.emplace_back(i, *model_, std::move(shards_[i]),
+                       std::move(row.neighbors), std::move(row.weights),
+                       row.self, config_.straggler_policy);
+  }
+
+  // Slot-aligned projection of pruned_keys onto each node's current
+  // neighbor list; rebuilt whenever either side changes (sparsifier
+  // epochs, checkpoint restore).
+  const auto rebuild_pruned_masks = [&] {
+    if (!sparsify_on) return;
+    for (topology::NodeId i = 0; i < n; ++i) {
+      const auto& my_neighbors = nodes[i].neighbors();
+      link_pruned[i].assign(my_neighbors.size(), 0);
+      for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
+        if (pruned_keys.contains(
+                net::FaultInjector::link_key(i, my_neighbors[s]))) {
+          link_pruned[i][s] = 1;
+        }
+      }
+    }
+  };
+  rebuild_pruned_masks();
+
+  // Shared initial model (every edge server starts from the same copy of
+  // the uniform model, §II-B).
+  common::Rng init_rng = rng.fork("init");
+  const linalg::Vector x0 = model_->initial_params(init_rng);
+  for (auto& node : nodes) node.set_initial(x0);
+
+  // Per-node APE controllers (fully local, §IV-C). Armed lazily after
+  // the warmup so the 10%-of-mean-|parameter| budget reflects the
+  // model's working scale rather than the near-zero initialization.
+  std::vector<std::optional<ApeController>> ape(n);
+
+  // Per-directed-link transmit backlog. Peers talk over persistent TCP
+  // connections (§II-B), so a congested round delays a frame rather than
+  // destroying it: updates that could not be sent are merged
+  // (last-write-wins per parameter) into the next frame on that link.
+  LinkBacklog backlog(n, total_params);
+
+  // Local round counter per node: equals the fabric's global round
+  // under sync execution, free-runs under async. Drives APE warmup.
+  std::vector<std::size_t> rounds(n, 0);
+  bool restarted = false;
+  const bool async_mode = config_.fabric == runtime::FabricKind::kAsync;
+  const bool gossip_mode = config_.fabric == runtime::FabricKind::kGossip;
+  // Round-aligned async (the default): EXTRA's corrected recursion
+  // telescopes only if node i's round-k update consumes each neighbor's
+  // round-(k-1) frame exactly once — views that skip or double-consume
+  // a neighbor round feed a persistent error through the accumulator
+  // and the run diverges (empirically: hetero spread 2.0 blows the loss
+  // up by 5-6 orders of magnitude). So each receiver queues arriving
+  // frames per link and applies exactly one per neighbor at the top of
+  // its next update; the ready gate parks a node until every neighbor
+  // queue is non-empty. No global barrier, no incast hub — each
+  // neighborhood paces itself — and the resulting parameter trajectory
+  // is the sync one, reached on an event-driven clock. Free-run mode
+  // bypasses the queues and mixes whatever is freshest.
+  const bool paced = async_mode && !config_.async_free_run;
+  std::vector<std::unordered_map<
+      topology::NodeId, std::deque<std::vector<net::ParamUpdate>>>>
+      pending(paced ? n : 0);
 
   // The whole algorithm as phase hooks; the fabric owns the clock, the
   // transport, the accounting, and the convergence detector.

@@ -8,9 +8,22 @@
 // The gradient is exact backprop over the full provided dataset (EXTRA
 // uses deterministic local gradients); stochastic trainers pass a
 // mini-batch subset instead.
+//
+// Kernel exactness contract: loss, loss_gradient and predict return the
+// bit patterns of the plain dense loops (one dot product per hidden
+// unit over every feature in ascending order, one full-width W1
+// gradient row update per hidden unit), with NaN and ±inf in the same
+// places. (Which NaN propagates when two meet is left open by IEEE 754
+// and by the compiler, in either kernel.) The kernel visits only
+// nonzero features and computes four hidden units per pass, which drops
+// only terms that add a signed zero; where a dropped term could be NaN
+// instead (a non-finite W1 entry, or a non-finite hidden delta) it
+// visits every feature. tests/support/reference_mlp.hpp holds the dense
+// loops as the oracle; DESIGN.md "Compute kernels" has the argument.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ml/model.hpp"
 
@@ -59,11 +72,17 @@ class Mlp final : public Model {
   }
 
  private:
-  /// Forward pass for one sample; fills hidden activations and output
-  /// probabilities. Returns the cross-entropy of `label` (ignored when
-  /// label == SIZE_MAX).
+  /// True when every W1 entry is finite (the sparse kernel's license
+  /// to skip zero features).
+  bool w1_finite(const linalg::Vector& params) const noexcept;
+
+  /// Forward pass for one sample over the ascending feature indices
+  /// `active` (the nonzero ones, or all when W1 is not finite); fills
+  /// hidden activations and output probabilities. Returns the
+  /// cross-entropy of `label` (ignored when label == SIZE_MAX).
   double forward(const linalg::Vector& params,
-                 std::span<const double> features, std::size_t label,
+                 std::span<const double> features,
+                 std::span<const std::uint32_t> active, std::size_t label,
                  std::span<double> hidden, std::span<double> probs) const;
 
   MlpConfig config_;

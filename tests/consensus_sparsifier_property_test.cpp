@@ -6,17 +6,20 @@
 // of the pruned graph equals the input's), respect the SLEM budget on
 // every component it touched (re-verified here through the dense
 // Jacobi path, not the sparsifier's own bookkeeping), save cost
-// monotonically step over step, and replay bitwise across reruns and
-// trainer thread counts. The Lanczos routing above
-// kDenseSpectralCutoff is pinned to the dense oracle at n = 180.
+// monotonically step over step, and replay bitwise across reruns,
+// candidate-scan pool sizes and trainer thread counts. The Lanczos
+// routing above kDenseSpectralCutoff is pinned to the dense oracle at
+// n = 180.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "consensus/mixing_spectrum.hpp"
 #include "consensus/sparse_weight_matrix.hpp"
 #include "consensus/topology_sparsifier.hpp"
@@ -228,6 +231,131 @@ TEST(SparsifierPropertyTest, AllKeptSubgraphMatchesSurvivorBuilders) {
   }
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every field of two results, doubles by bit pattern.
+void expect_same_result(const SparsifierResult& a, const SparsifierResult& b) {
+  EXPECT_EQ(a.edge_kept, b.edge_kept);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t s = 0; s < a.steps.size(); ++s) {
+    EXPECT_EQ(a.steps[s].u, b.steps[s].u) << "step " << s;
+    EXPECT_EQ(a.steps[s].v, b.steps[s].v) << "step " << s;
+    EXPECT_TRUE(same_bits(a.steps[s].price, b.steps[s].price)) << "step " << s;
+    EXPECT_TRUE(same_bits(a.steps[s].slem_after, b.steps[s].slem_after))
+        << "step " << s;
+    EXPECT_TRUE(same_bits(a.steps[s].cost_after, b.steps[s].cost_after))
+        << "step " << s;
+  }
+  EXPECT_TRUE(same_bits(a.slem_before, b.slem_before));
+  EXPECT_TRUE(same_bits(a.slem_after, b.slem_after));
+  EXPECT_TRUE(same_bits(a.cost_before, b.cost_before));
+  EXPECT_TRUE(same_bits(a.cost_after, b.cost_after));
+  EXPECT_EQ(a.links_pruned, b.links_pruned);
+  EXPECT_EQ(a.effective_edges, b.effective_edges);
+  EXPECT_TRUE(same_sparse(a.w, b.w));
+}
+
+/// Two k-cliques joined by one bridge {k−1, k}.
+topology::Graph make_barbell(std::size_t k) {
+  topology::Graph g(2 * k);
+  for (std::size_t side = 0; side < 2; ++side) {
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        g.add_edge(side * k + a, side * k + b);
+      }
+    }
+  }
+  g.add_edge(k - 1, k);
+  return g;
+}
+
+// The candidate scan runs on a pool and the choice is folded serially
+// in edge order, so no pool, and pools of 1, 2 and 4 threads, must give
+// the same result to the bit — on every shape family, with and without
+// an alive mask and explicit component labels.
+TEST(SparsifierPropertyTest, ResultBitwiseAcrossScanPoolSizes) {
+  common::ThreadPool one(1);
+  common::ThreadPool two(2);
+  common::ThreadPool four(4);
+  std::size_t pruning_cases = 0;
+  for (std::size_t index = 0; index < 12; ++index) {
+    common::Rng rng(4200 + index);
+    topology::Graph g(1);
+    std::string shape;
+    switch (index % 3) {
+      case 0:
+        shape = "random";
+        g = topology::make_random_connected(10 + index / 2, 3.5, rng);
+        break;
+      case 1: {
+        shape = "ring+chords";
+        const std::size_t n = 10 + index / 2;
+        g = topology::make_ring(n);
+        for (std::size_t k = 0; k < n / 2; ++k) {
+          const auto u = static_cast<topology::NodeId>(rng.uniform_u64(n));
+          const auto v = static_cast<topology::NodeId>(rng.uniform_u64(n));
+          if (u != v && !g.has_edge(u, v)) g.add_edge(u, v);
+        }
+        break;
+      }
+      default:
+        shape = "barbell";
+        g = make_barbell(4 + index / 3);
+        break;
+    }
+    const std::size_t n = g.node_count();
+    // Alternate a relative SLEM budget (the schedule stops when every
+    // survivor would degrade mixing too far) with a cost budget and no
+    // SLEM bound (long schedules down to the load-bearing edges).
+    SparsifierConfig config;
+    config.enabled = true;
+    if (index % 2 == 0) {
+      config.cost_model = LinkCostModel::kHops;
+      config.slem_slack = 0.05;
+    } else {
+      config.cost_model = LinkCostModel::kUniform;
+      config.cost_budget = 0.6;
+    }
+
+    std::vector<bool> alive;
+    std::vector<std::size_t> labels;
+    if (index % 4 >= 2) {
+      // A dead node plus explicit labels: on the barbell the labels
+      // split the two cliques, so the bridge is inert.
+      alive.assign(n, true);
+      alive[index % n] = false;
+      labels =
+          topology::connected_components(
+              g, std::vector<std::uint8_t>(alive.begin(), alive.end()))
+              .label;
+      if (shape == "barbell") {
+        for (topology::NodeId i = 0; i < n; ++i) {
+          if (labels[i] != topology::ComponentMap::kExcluded) {
+            labels[i] = i < n / 2 ? 0 : 1;
+          }
+        }
+      }
+    }
+    SCOPED_TRACE(shape + " case " + std::to_string(index) +
+                 (labels.empty() ? "" : " (alive mask + labels)"));
+
+    const auto run = [&](common::ThreadPool* pool) {
+      return labels.empty()
+                 ? sparsify_topology(g, alive, config, pool)
+                 : sparsify_topology(g, alive, labels, config, pool);
+    };
+    const SparsifierResult serial = run(nullptr);
+    if (serial.links_pruned > 0) ++pruning_cases;
+    for (common::ThreadPool* pool : {&one, &two, &four}) {
+      SCOPED_TRACE("pool of " + std::to_string(pool->thread_count()));
+      expect_same_result(serial, run(pool));
+    }
+  }
+  EXPECT_GE(pruning_cases, 10u);
+}
+
 // Above kDenseSpectralCutoff the sparsifier's spectral queries route
 // through deflated Lanczos; the pruned mixing matrix's SLEM must agree
 // with the dense Jacobi oracle to 1e-9. Every greedy step scores every
@@ -272,7 +400,8 @@ TEST(SparsifierPropertyTest, LanczosAgreesWithDenseOracleAboveCutoff) {
 
 core::TrainResult sparsified_run(const topology::Graph& g,
                                  std::size_t threads,
-                                 runtime::FabricKind fabric) {
+                                 runtime::FabricKind fabric,
+                                 bool churn = false) {
   constexpr std::size_t kDim = 3;
   const QuadraticModel model(kDim);
   common::Rng rng(99);
@@ -290,8 +419,17 @@ core::TrainResult sparsified_run(const topology::Graph& g,
   cfg.convergence.max_iterations = 30;
   cfg.convergence.loss_tolerance = 0.0;
   cfg.sparsify.enabled = true;
-  cfg.sparsify.slem_bound = 1.0;
-  cfg.sparsify.cost_budget = 0.7;
+  if (churn) {
+    // Crash/restart epochs: every confirmed membership change re-prunes
+    // the survivors on the trainer's pool under a SLEM bound.
+    cfg.convergence.max_iterations = 24;
+    cfg.faults.crash_probability = 0.05;
+    cfg.faults.restart_probability = 0.3;
+    cfg.sparsify.slem_bound = 0.97;
+  } else {
+    cfg.sparsify.slem_bound = 1.0;
+    cfg.sparsify.cost_budget = 0.7;
+  }
   const SparseWeightMatrix w =
       SparseWeightMatrix::metropolis_on_survivors(g);
   core::SnapTrainer trainer(g, w, model, std::move(shards), cfg);
@@ -326,6 +464,28 @@ TEST(SparsifierPropertyTest, TrainerTimelineBitwiseAcrossThreadCounts) {
     ASSERT_GT(one.iterations.back().links_pruned, 0u);
     expect_bitwise_equal(one, four);
     expect_bitwise_equal(one, rerun);
+  }
+}
+
+TEST(SparsifierPropertyTest, ChurnEpochReprunesBitwiseAcrossThreadCounts) {
+  common::Rng rng(505);
+  const topology::Graph g = topology::make_random_connected(12, 4.0, rng);
+  for (const runtime::FabricKind fabric :
+       {runtime::FabricKind::kSync, runtime::FabricKind::kGossip}) {
+    const core::TrainResult one = sparsified_run(g, 1, fabric, true);
+    const core::TrainResult four = sparsified_run(g, 4, fabric, true);
+    // The run must actually re-prune: the kept-edge count moves as
+    // members crash and restart.
+    std::size_t changes = 0;
+    for (std::size_t k = 1; k < one.iterations.size(); ++k) {
+      if (one.iterations[k].effective_edges !=
+          one.iterations[k - 1].effective_edges) {
+        ++changes;
+      }
+    }
+    EXPECT_GT(changes, 0u);
+    ASSERT_GT(one.iterations.front().links_pruned, 0u);
+    expect_bitwise_equal(one, four);
   }
 }
 
